@@ -21,7 +21,10 @@ class GradientBoostedTrees {
  public:
   explicit GradientBoostedTrees(GbtOptions options = {}) : options_(options) {}
 
-  // Fits on (features, targets); squared loss, exact greedy splits.
+  // Fits on (features, targets); squared loss, exact greedy splits. Every
+  // row of x must have the same width. The split search is presorted (see
+  // DESIGN.md §19) but yields the trees of the plain per-node sort-and-scan,
+  // bit for bit.
   void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y);
 
   double Predict(const std::vector<double>& x) const;
@@ -40,11 +43,11 @@ class GradientBoostedTrees {
     std::vector<Node> nodes;
     double Predict(const std::vector<double>& x) const;
   };
+  // Column-major training set and per-tree presorted row orders (gbt.cc).
+  struct FitState;
 
-  Tree FitTree(const std::vector<std::vector<double>>& x, const std::vector<double>& residual);
-  void Split(Tree& tree, int node, const std::vector<std::vector<double>>& x,
-             const std::vector<double>& residual, std::vector<int>& indices, int begin, int end,
-             int depth);
+  Tree FitTree(FitState& s);
+  void Split(Tree& tree, int node, FitState& s, int begin, int end, int depth);
 
   GbtOptions options_;
   double base_ = 0.0;

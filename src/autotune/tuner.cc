@@ -176,16 +176,19 @@ void JointTuner::LoopTuneBatch(const Graph& g, const LayoutAssignment& la,
 
   // Rank with the cost model; only the predicted top-k are measured.
   std::vector<std::pair<double, int>> ranked;
-  for (int i = 0; i < static_cast<int>(batch.size()); ++i) {
-    double score = 0.0;
-    if (options_.use_cost_model && cost_model_.trained()) {
-      score = cost_model_.Predict(Features(sig, state.space.Decode(batch[i]), layout_state));
-    } else {
-      score = rng.NextDouble();
+  {
+    TraceSpan rank_span("tuner.rank");
+    for (int i = 0; i < static_cast<int>(batch.size()); ++i) {
+      double score = 0.0;
+      if (options_.use_cost_model && cost_model_.trained()) {
+        score = cost_model_.Predict(Features(sig, state.space.Decode(batch[i]), layout_state));
+      } else {
+        score = rng.NextDouble();
+      }
+      ranked.push_back({score, i});
     }
-    ranked.push_back({score, i});
+    std::sort(ranked.begin(), ranked.end());
   }
-  std::sort(ranked.begin(), ranked.end());
   int to_measure = options_.use_cost_model
                        ? std::min<int>(options_.top_k, ranked.size())
                        : static_cast<int>(ranked.size());
@@ -218,6 +221,7 @@ void JointTuner::LoopTuneBatch(const Graph& g, const LayoutAssignment& la,
     }
   }
   if (options_.use_cost_model && train_x_.size() >= 24 && train_x_.size() % 24 == 0) {
+    TraceSpan fit_span("tuner.cost_model_fit");
     cost_model_.Fit(train_x_, train_y_);
   }
   if (options_.event_sink != nullptr) {

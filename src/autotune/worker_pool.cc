@@ -86,6 +86,9 @@ WorkerPool::WorkerPool(const IsolateOptions& options, const RetryPolicy& retry,
 }
 
 WorkerPool::~WorkerPool() {
+  // Reaping a forked child tears down its copy of the address space; on a
+  // short batch this costs as much as a candidate, so it gets its own span.
+  TraceSpan span("measure.worker_shutdown");
   for (Slot& slot : slots_) {
     KillChild(&slot.proc);
   }

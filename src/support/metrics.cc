@@ -19,8 +19,11 @@ int BucketIndex(double value) {
 }
 
 // Percentile over raw bucket counts: upper bound of the bucket holding the
-// rank. Shared by the live histogram and (delta) snapshots.
-double PercentileFromBuckets(const std::vector<int64_t>& buckets, int64_t count, double p) {
+// rank, clamped to `max` (no observed value lies above it, so neither may a
+// percentile). Shared by the live histogram and (delta) snapshots; a lifetime
+// max is still an upper bound for a delta's values.
+double PercentileFromBuckets(const std::vector<int64_t>& buckets, int64_t count, double max,
+                             double p) {
   if (count <= 0) {
     return 0.0;
   }
@@ -30,10 +33,10 @@ double PercentileFromBuckets(const std::vector<int64_t>& buckets, int64_t count,
   for (int i = 0; i < static_cast<int>(buckets.size()); ++i) {
     cumulative += buckets[i];
     if (cumulative >= target) {
-      return Histogram::BucketUpperBound(i);
+      return std::min(Histogram::BucketUpperBound(i), max);
     }
   }
-  return Histogram::BucketUpperBound(Histogram::kBuckets - 1);
+  return std::min(Histogram::BucketUpperBound(Histogram::kBuckets - 1), max);
 }
 
 std::string FormatJsonDouble(double v) {
@@ -69,7 +72,7 @@ double Histogram::Percentile(double p) const {
   for (int i = 0; i < kBuckets; ++i) {
     buckets[i] = bucket(i);
   }
-  return PercentileFromBuckets(buckets, count(), p);
+  return PercentileFromBuckets(buckets, count(), max(), p);
 }
 
 void Histogram::Reset() {
@@ -135,9 +138,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     for (int i = 0; i < Histogram::kBuckets; ++i) {
       h.buckets[i] = histogram->bucket(i);
     }
-    h.p50 = PercentileFromBuckets(h.buckets, h.count, 50);
-    h.p95 = PercentileFromBuckets(h.buckets, h.count, 95);
-    h.p99 = PercentileFromBuckets(h.buckets, h.count, 99);
+    h.p50 = PercentileFromBuckets(h.buckets, h.count, h.max, 50);
+    h.p95 = PercentileFromBuckets(h.buckets, h.count, h.max, 95);
+    h.p99 = PercentileFromBuckets(h.buckets, h.count, h.max, 99);
     snap.histograms.push_back(std::move(h));
   }
   return snap;
@@ -201,9 +204,9 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(const MetricsSnapshot& start) const 
       for (size_t i = 0; i < d.buckets.size() && i < s->buckets.size(); ++i) {
         d.buckets[i] -= s->buckets[i];
       }
-      d.p50 = PercentileFromBuckets(d.buckets, d.count, 50);
-      d.p95 = PercentileFromBuckets(d.buckets, d.count, 95);
-      d.p99 = PercentileFromBuckets(d.buckets, d.count, 99);
+      d.p50 = PercentileFromBuckets(d.buckets, d.count, d.max, 50);
+      d.p95 = PercentileFromBuckets(d.buckets, d.count, d.max, 95);
+      d.p99 = PercentileFromBuckets(d.buckets, d.count, d.max, 99);
     }
     delta.histograms.push_back(std::move(d));
   }

@@ -10,7 +10,8 @@
 //   * Histogram — fixed exponential buckets (4 per octave, so bucket bounds
 //     grow by 2^(1/4) ~ 1.19x) over non-negative doubles, with approximate
 //     p50/p95/p99 (reported as the upper bound of the bucket holding the
-//     rank, i.e. at most one resolution step above the true value). Observe()
+//     rank, clamped to the observed max, i.e. at most one resolution step
+//     above the true value and never above any observed value). Observe()
 //     is wait-free: one log2, one atomic increment per bucket/count/sum.
 //
 // Instruments are created on first use and never destroyed, so call sites can
@@ -75,7 +76,7 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double max() const { return max_.load(std::memory_order_relaxed); }
   // Approximate percentile in [0, 100]: the upper bound of the bucket that
-  // contains the requested rank (0 when empty).
+  // contains the requested rank, clamped to max() (0 when empty).
   double Percentile(double p) const;
   void Reset();
 

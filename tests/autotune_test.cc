@@ -2,7 +2,12 @@
 // and the joint tuner (including the headline property that joint layout +
 // loop tuning beats loop-only tuning).
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +58,231 @@ TEST(Gbt, RanksMonotoneData) {
   autotune::GradientBoostedTrees gbt;
   gbt.Fit(x, y);
   EXPECT_LT(gbt.Predict({10.0}), gbt.Predict({80.0}));
+}
+
+// Reference fit for the differential test below: the exact greedy split
+// finder that rebuilds and sorts (value, residual) pairs for every feature at
+// every node. GradientBoostedTrees presorts instead and must reproduce these
+// trees bit for bit.
+class ReferenceGbt {
+ public:
+  explicit ReferenceGbt(autotune::GbtOptions options) : options_(options) {}
+
+  void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) {
+    trees_.clear();
+    base_ = std::accumulate(y.begin(), y.end(), 0.0) / y.size();
+    std::vector<double> pred(y.size(), base_);
+    for (int t = 0; t < options_.num_trees; ++t) {
+      std::vector<double> residual(y.size());
+      for (size_t i = 0; i < y.size(); ++i) {
+        residual[i] = y[i] - pred[i];
+      }
+      Tree tree;
+      tree.push_back(Node{});
+      std::vector<int> indices(x.size());
+      std::iota(indices.begin(), indices.end(), 0);
+      Split(tree, 0, x, residual, indices, 0, static_cast<int>(x.size()), 0);
+      for (size_t i = 0; i < y.size(); ++i) {
+        pred[i] += options_.learning_rate * PredictTree(tree, x[i]);
+      }
+      trees_.push_back(std::move(tree));
+    }
+  }
+
+  double Predict(const std::vector<double>& x) const {
+    double out = base_;
+    for (const auto& tree : trees_) {
+      out += options_.learning_rate * PredictTree(tree, x);
+    }
+    return out;
+  }
+
+ private:
+  struct Node {
+    int feature = -1;
+    double threshold = 0.0;
+    double value = 0.0;
+    int left = -1;
+    int right = -1;
+  };
+  using Tree = std::vector<Node>;
+
+  static double PredictTree(const Tree& tree, const std::vector<double>& x) {
+    int node = 0;
+    while (tree[node].feature >= 0) {
+      const Node& n = tree[node];
+      double v = n.feature < static_cast<int>(x.size()) ? x[n.feature] : 0.0;
+      node = v <= n.threshold ? n.left : n.right;
+    }
+    return tree[node].value;
+  }
+
+  void Split(Tree& tree, int node_id, const std::vector<std::vector<double>>& x,
+             const std::vector<double>& residual, std::vector<int>& indices, int begin, int end,
+             int depth) {
+    int count = end - begin;
+    double sum = 0.0;
+    for (int i = begin; i < end; ++i) {
+      sum += residual[indices[i]];
+    }
+    tree[node_id].value = count > 0 ? sum / count : 0.0;
+    if (depth >= options_.max_depth || count < 2 * options_.min_samples_leaf) {
+      return;
+    }
+    double best_gain = 1e-12;
+    int best_feature = -1;
+    double best_threshold = 0.0;
+    std::vector<std::pair<double, double>> vals(count);  // (feature value, residual)
+    for (int f = 0; f < static_cast<int>(x[0].size()); ++f) {
+      for (int i = 0; i < count; ++i) {
+        int idx = indices[begin + i];
+        vals[i] = {x[idx][f], residual[idx]};
+      }
+      std::sort(vals.begin(), vals.end());
+      double left_sum = 0.0;
+      for (int i = 0; i + 1 < count; ++i) {
+        left_sum += vals[i].second;
+        if (vals[i].first == vals[i + 1].first) {
+          continue;
+        }
+        int nl = i + 1;
+        int nr = count - nl;
+        if (nl < options_.min_samples_leaf || nr < options_.min_samples_leaf) {
+          continue;
+        }
+        double right_sum = sum - left_sum;
+        double gain = left_sum * left_sum / nl + right_sum * right_sum / nr - sum * sum / count;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = f;
+          best_threshold = 0.5 * (vals[i].first + vals[i + 1].first);
+        }
+      }
+    }
+    if (best_feature < 0) {
+      return;
+    }
+    auto mid_it = std::partition(indices.begin() + begin, indices.begin() + end,
+                                 [&](int idx) { return x[idx][best_feature] <= best_threshold; });
+    int mid = static_cast<int>(mid_it - indices.begin());
+    if (mid == begin || mid == end) {
+      return;
+    }
+    tree[node_id].feature = best_feature;
+    tree[node_id].threshold = best_threshold;
+    int left = static_cast<int>(tree.size());
+    tree.push_back(Node{});
+    int right = static_cast<int>(tree.size());
+    tree.push_back(Node{});
+    tree[node_id].left = left;
+    tree[node_id].right = right;
+    Split(tree, left, x, residual, indices, begin, mid, depth + 1);
+    Split(tree, right, x, residual, indices, mid, end, depth + 1);
+  }
+
+  autotune::GbtOptions options_;
+  double base_ = 0.0;
+  std::vector<Tree> trees_;
+};
+
+// A tuner-shaped training set: 56 columns mixing discrete log-tile values
+// (long tie runs), continuous values, signed zeros, all-constant and
+// zero-padding columns, with duplicated rows and targets from a small
+// discrete set (equal, zero and negative residuals).
+void MakeGbtCorpus(uint64_t seed, int n, std::vector<std::vector<double>>& x,
+                   std::vector<double>& y) {
+  Rng rng(seed);
+  const int kWidth = 56;
+  x.assign(n, std::vector<double>(kWidth, 0.0));
+  y.assign(n, 0.0);
+  const bool discrete_targets = seed % 3 == 0;
+  const bool constant_targets = seed % 11 == 5;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0 && rng.NextDouble() < 0.15) {
+      int src = static_cast<int>(rng.NextBelow(i));
+      x[i] = x[src];
+      y[i] = y[src];
+      continue;
+    }
+    std::vector<double>& row = x[i];
+    for (int f = 0; f < 40; ++f) {
+      switch (f % 5) {
+        case 0:
+        case 1:  // log2 of a power-of-two tile in [1, 64]
+          row[f] = static_cast<double>(rng.NextBelow(7));
+          break;
+        case 2:  // a boolean knob
+          row[f] = rng.NextDouble() < 0.3 ? 1.0 : 0.0;
+          break;
+        case 3:  // continuous
+          row[f] = rng.NextDouble() * 10.0 - 5.0;
+          break;
+        default:  // signed zeros tie with each other
+          row[f] = rng.NextDouble() < 0.5 ? (rng.NextDouble() < 0.5 ? -0.0 : 0.0) : 2.0;
+          break;
+      }
+    }
+    for (int f = 40; f < 44; ++f) {
+      row[f] = 3.5;  // constant, nonzero
+    }
+    // Columns 44..55 stay zero padding.
+    if (constant_targets) {
+      y[i] = 1.25;
+    } else if (discrete_targets) {
+      y[i] = static_cast<double>(static_cast<int>(row[0]) % 3) - 1.0;
+    } else {
+      y[i] = 0.7 * row[0] - 0.4 * row[5] + row[3] * row[2] + 0.1 * rng.NextDouble();
+    }
+  }
+}
+
+TEST(Gbt, PresortedFitMatchesReferenceBitForBit) {
+  const int kSizes[] = {7, 8, 9, 24, 25, 31, 48, 96, 240, 480};
+  const autotune::GbtOptions kOptions[] = {
+      {},                       // the tuner's cost model
+      {12, 6, 0.5, 1},          // deep trees, singleton leaves
+      {10, 3, 0.3, 12},         // n near 2 * min_samples_leaf at the root
+  };
+  int checked = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    for (int n : kSizes) {
+      if (n >= 240 && seed > 2) {
+        continue;  // the reference is slow; two seeds cover the large sizes
+      }
+      for (const autotune::GbtOptions& options : kOptions) {
+        std::vector<std::vector<double>> x;
+        std::vector<double> y;
+        MakeGbtCorpus(seed * 1000 + n, n, x, y);
+        autotune::GradientBoostedTrees gbt(options);
+        ReferenceGbt reference(options);
+        gbt.Fit(x, y);
+        reference.Fit(x, y);
+        // Training rows, plus probes that land on and between thresholds.
+        std::vector<std::vector<double>> probes = x;
+        std::vector<std::vector<double>> extra;
+        std::vector<double> unused;
+        MakeGbtCorpus(seed * 7919 + n, 16, extra, unused);
+        probes.insert(probes.end(), extra.begin(), extra.end());
+        for (const auto& probe : probes) {
+          double got = gbt.Predict(probe);
+          double want = reference.Predict(probe);
+          ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << "seed " << seed << " n " << n << " depth " << options.max_depth << ": " << got
+              << " vs " << want;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 5000);
+}
+
+TEST(Gbt, RejectsRaggedRows) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::vector<std::vector<double>> x = {{1.0, 2.0}, {3.0}, {5.0, 6.0}};
+  std::vector<double> y = {1.0, 2.0, 3.0};
+  autotune::GradientBoostedTrees gbt;
+  EXPECT_DEATH(gbt.Fit(x, y), "GBT row 1 has 1 features, row 0 has 2");
 }
 
 TEST(Ppo, LearnsBanditTarget) {

@@ -568,6 +568,37 @@ TEST(MetricsTest, HistogramPercentilesAreWithinOneBucketOfExact) {
   EXPECT_LE(h.Percentile(100), 1000.0 * kBucketRatio * 1.01);
 }
 
+TEST(MetricsTest, HistogramPercentilesNeverExceedObservedMax) {
+  // Every sample is 8, which sits mid-bucket: the unclamped bucket upper
+  // bound would report a p50 above anything ever observed.
+  Histogram h;
+  for (int i = 0; i < 20; ++i) {
+    h.Observe(8.0);
+  }
+  EXPECT_LE(h.Percentile(50), h.Percentile(95));
+  EXPECT_LE(h.Percentile(95), h.Percentile(99));
+  EXPECT_LE(h.Percentile(99), h.max());
+  EXPECT_EQ(h.Percentile(50), 8.0);
+
+  // Snapshots and deltas clamp to the (lifetime) max as well.
+  auto& registry = MetricsRegistry::Global();
+  Histogram& live = registry.histogram("test.clamped_hist");
+  live.Observe(8.0);
+  MetricsSnapshot before = registry.Snapshot();
+  for (int i = 0; i < 10; ++i) {
+    live.Observe(8.0);
+  }
+  MetricsSnapshot after = registry.Snapshot();
+  for (const MetricsSnapshot& snap : {before, after, after.DeltaSince(before)}) {
+    const HistogramSnapshot* hs = snap.histogram("test.clamped_hist");
+    ASSERT_NE(hs, nullptr);
+    EXPECT_LE(hs->p50, hs->p95);
+    EXPECT_LE(hs->p95, hs->p99);
+    EXPECT_LE(hs->p99, hs->max);
+    EXPECT_EQ(hs->p99, 8.0);
+  }
+}
+
 TEST(MetricsTest, HistogramAbsorbsHostileValues) {
   Histogram h;
   h.Observe(0.0);
